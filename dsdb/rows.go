@@ -209,7 +209,8 @@ type cacheFill struct {
 	cost time.Duration
 }
 
-// add copies one produced tuple into the pending entry, abandoning
+// add copies one produced tuple into the pending entry (the executor
+// reuses tup's storage on the next pull), abandoning
 // the fill once the result outgrows the cache budget (the cache would
 // reject it anyway — stop paying for the copy).
 func (f *cacheFill) add(tup []Value) {

@@ -92,6 +92,12 @@ func (h *Heap) InsertTuple(data []byte) (storage.TID, error) {
 
 // Fetch reads the tuple at tid into dst (heap_fetch).
 func (h *Heap) Fetch(tr probe.Tracer, tid storage.TID, dst []value.Value) ([]value.Value, error) {
+	return h.FetchColumns(tr, tid, dst, nil)
+}
+
+// FetchColumns is Fetch decoding only the columns the need mask marks
+// (see storage.DecodeColumns); a nil mask decodes every column.
+func (h *Heap) FetchColumns(tr probe.Tracer, tid storage.TID, dst []value.Value, need []bool) ([]value.Value, error) {
 	tr = probe.Or(tr)
 	tr.Emit(probe.HeapFetchEnter)
 	b, err := h.buf.Get(tr, h.file, int(tid.Page))
@@ -105,7 +111,7 @@ func (h *Heap) Fetch(tr probe.Tracer, tid storage.TID, dst []value.Value) ([]val
 		return nil, err
 	}
 	tr.Emit(probe.HeapDeform)
-	vals, err := storage.DecodeTuple(raw, dst)
+	vals, err := storage.DecodeColumns(raw, dst, need)
 	tr.Emit(probe.HeapFetchEmit)
 	return vals, err
 }
@@ -113,6 +119,10 @@ func (h *Heap) Fetch(tr probe.Tracer, tid storage.TID, dst []value.Value) ([]val
 // HeapScan iterates a heap file in physical order, pinning one page at
 // a time (heap_getnext).
 type HeapScan struct {
+	// Need, when non-nil, restricts decoding to the columns it marks;
+	// the rest come back as NULL (see storage.DecodeColumns).
+	Need []bool
+
 	heap *Heap
 	page int
 	end  int // first page past the scan range; -1 means whole file
@@ -143,8 +153,8 @@ func (h *Heap) BeginRangeScan(lo, hi int) *HeapScan {
 	return &HeapScan{heap: h, page: lo, end: hi}
 }
 
-// Next returns the next tuple (decoded into dst) and its TID; ok is
-// false at end of file.
+// Next returns the next tuple (decoded into dst, which is reused when
+// its capacity holds the row) and its TID; ok is false at end of file.
 func (s *HeapScan) Next(tr probe.Tracer, dst []value.Value) (vals []value.Value, tid storage.TID, ok bool, err error) {
 	tr = probe.Or(tr)
 	tr.Emit(probe.HeapGetNextEnter)
@@ -181,7 +191,7 @@ func (s *HeapScan) Next(tr probe.Tracer, dst []value.Value) (vals []value.Value,
 				return nil, storage.TID{}, false, terr
 			}
 			tr.Emit(probe.HeapDeform)
-			vals, err = storage.DecodeTuple(raw, dst)
+			vals, err = storage.DecodeColumns(raw, dst, s.Need)
 			if err != nil {
 				s.Close()
 				return nil, storage.TID{}, false, err

@@ -16,6 +16,7 @@ package engine
 import (
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -236,14 +237,16 @@ func (db *DB) CreateIndex(table, column string, kind catalog.IndexKind, unique b
 	// Backfill from the heap.
 	heap := db.heaps[table]
 	scan := heap.BeginScan()
+	var row []value.Value
 	for {
-		vals, tid, ok, err := scan.Next(nil, nil)
+		vals, tid, ok, err := scan.Next(nil, row)
 		if err != nil {
 			return db.writeFailed(logged, err)
 		}
 		if !ok {
 			break
 		}
+		row = vals
 		if err := db.indexInsertOne(ix, vals, tid); err != nil {
 			return db.writeFailed(logged, err)
 		}
@@ -433,7 +436,7 @@ func Run(plan executor.Node) (out []executor.Tuple, err error) {
 		if !ok {
 			return out, nil
 		}
-		out = append(out, tup)
+		out = append(out, slices.Clone(tup)) // tup is valid only until the next Next
 	}
 }
 

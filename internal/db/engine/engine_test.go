@@ -8,6 +8,7 @@ import (
 	"repro/internal/db/catalog"
 	"repro/internal/db/engine"
 	"repro/internal/db/executor"
+	"repro/internal/db/value"
 )
 
 // probeNode is a stub executor node that counts lifecycle calls and
@@ -144,4 +145,43 @@ type failingClose struct{ probeNode }
 func (f *failingClose) Close() error {
 	f.closes++
 	return errBoom
+}
+
+// clobberNode returns every row in one reused backing array,
+// overwriting the previous row's slots on each Next — the worst the
+// executor's tuple-lifetime contract allows.
+type clobberNode struct {
+	executor.Node
+	buf executor.Tuple
+}
+
+func (n *clobberNode) Next() (executor.Tuple, bool, error) {
+	for i := range n.buf {
+		n.buf[i] = value.NewStr("clobbered")
+	}
+	tup, ok, err := n.Node.Next()
+	if !ok || err != nil {
+		return tup, ok, err
+	}
+	n.buf = append(n.buf[:0], tup...)
+	return n.buf, true, nil
+}
+
+// TestRunCopiesRows checks that Run keeps a copy of every row rather
+// than the producer's reused storage.
+func TestRunCopiesRows(t *testing.T) {
+	sch := catalog.NewSchema(catalog.Column{Name: "k", Type: value.Int},
+		catalog.Column{Name: "s", Type: value.Str})
+	var rows []executor.Tuple
+	for i := range 5 {
+		rows = append(rows, executor.Tuple{value.NewInt(int64(i)), value.NewStr(fmt.Sprint("row", i))})
+	}
+	c := executor.NewCtx(nil)
+	got, err := engine.Run(&clobberNode{Node: &executor.ValuesScan{C: c, Out: sch, Rows: rows}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(rows) {
+		t.Fatalf("Run over a clobbering child = %v, want %v", got, rows)
+	}
 }

@@ -214,17 +214,24 @@ type GroupAgg struct {
 	GroupBy []int // columns of the child output
 	Specs   []AggSpec
 
-	out         *catalog.Schema
-	pending     Tuple
-	havePending bool
-	eof         bool
+	out  *catalog.Schema
+	keys []SortKey // GroupBy as ascending sort keys
+	// pending is a copy of the first row of the next group; spare is
+	// the storage of the row before it, reused for the next copy.
+	pending, spare Tuple
+	havePending    bool
+	eof            bool
 }
 
 // Open implements Node.
 func (g *GroupAgg) Open() error {
-	g.pending = nil
+	g.pending = g.pending[:0]
 	g.havePending = false
 	g.eof = false
+	g.keys = g.keys[:0]
+	for _, col := range g.GroupBy {
+		g.keys = append(g.keys, SortKey{Col: col})
+	}
 	return g.Child.Open()
 }
 
@@ -232,11 +239,7 @@ func (g *GroupAgg) Open() error {
 func (g *GroupAgg) sameGroup(a, b Tuple) bool {
 	c := g.C
 	c.Tr.Emit(probe.GrpCmpCall)
-	keys := make([]SortKey, len(g.GroupBy))
-	for i, col := range g.GroupBy {
-		keys[i] = SortKey{Col: col}
-	}
-	r := tupleCompare(c, a, b, keys)
+	r := tupleCompare(c, a, b, g.keys)
 	c.Tr.Emit(probe.GrpCmpCont)
 	return r == 0
 }
@@ -261,7 +264,7 @@ func (g *GroupAgg) Next() (Tuple, bool, error) {
 			c.Tr.Emit(probe.GrpFirstEOF)
 			return nil, false, nil
 		}
-		g.pending = tup
+		g.pending = append(g.pending[:0], tup...)
 		g.havePending = true
 		c.Tr.Emit(probe.GrpAccum)
 	} else {
@@ -287,8 +290,9 @@ func (g *GroupAgg) Next() (Tuple, bool, error) {
 			g.accumulate(states, tup)
 			continue
 		}
-		// Boundary: stash the first row of the next group.
-		g.pending = tup
+		// Boundary: stash a copy of the first row of the next group
+		// (head keeps the storage it was copied into).
+		g.pending, g.spare = append(g.spare[:0], tup...), g.pending
 		g.havePending = true
 		break
 	}

@@ -2,6 +2,7 @@ package executor
 
 import (
 	"errors"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -63,7 +64,8 @@ func newTestDB(t *testing.T, n int) *testDB {
 	return &testDB{heap: h, btree: bt, hash: hx, sch: sch, n: n}
 }
 
-// drain runs a plan to completion.
+// drain runs a plan to completion and returns copies of its rows: a
+// returned Tuple is only valid until the node's next Next.
 func drain(t *testing.T, n Node) []Tuple {
 	t.Helper()
 	if err := n.Open(); err != nil {
@@ -78,7 +80,7 @@ func drain(t *testing.T, n Node) []Tuple {
 		if !ok {
 			break
 		}
-		out = append(out, tup)
+		out = append(out, slices.Clone(tup))
 	}
 	if err := n.Close(); err != nil {
 		t.Fatal(err)
@@ -432,10 +434,10 @@ func TestExprEvaluation(t *testing.T) {
 			&BinOp{Op: OpLT, L: intvar(0), R: intconst(7)},
 		}}, value.NewBool(true)},
 		{&NotExpr{Arg: &BinOp{Op: OpGT, L: intvar(0), R: intconst(100)}}, value.NewBool(true)},
-		{&LikeExpr{Arg: &Var{Idx: 1, T: value.Str}, Pattern: "BRA%"}, value.NewBool(true)},
-		{&LikeExpr{Arg: &Var{Idx: 1, T: value.Str}, Pattern: "%ZIL"}, value.NewBool(true)},
-		{&LikeExpr{Arg: &Var{Idx: 1, T: value.Str}, Pattern: "%RAZ%"}, value.NewBool(true)},
-		{&LikeExpr{Arg: &Var{Idx: 1, T: value.Str}, Pattern: "%USA%"}, value.NewBool(false)},
+		{NewLikeExpr(&Var{Idx: 1, T: value.Str}, "BRA%", false), value.NewBool(true)},
+		{NewLikeExpr(&Var{Idx: 1, T: value.Str}, "%ZIL", false), value.NewBool(true)},
+		{NewLikeExpr(&Var{Idx: 1, T: value.Str}, "%RAZ%", false), value.NewBool(true)},
+		{NewLikeExpr(&Var{Idx: 1, T: value.Str}, "%USA%", false), value.NewBool(false)},
 		{&InExpr{Arg: intvar(0), List: []value.Value{value.NewInt(3), value.NewInt(6)}}, value.NewBool(true)},
 		{&InExpr{Arg: intvar(0), List: []value.Value{value.NewInt(3)}}, value.NewBool(false)},
 	}
@@ -448,6 +450,7 @@ func TestExprEvaluation(t *testing.T) {
 }
 
 func TestMatchLike(t *testing.T) {
+	c := NewCtx(nil)
 	cases := []struct {
 		s, p string
 		want bool
@@ -461,10 +464,34 @@ func TestMatchLike(t *testing.T) {
 		{"special requests", "%special%requests%", true},
 		{"", "%", true},
 		{"abc", "", false},
+		// A lone % and %% match everything, the empty string too.
+		{"abc", "%", true},
+		{"abc", "%%", true},
+		{"", "%%", true},
+		// Fragments must appear in order, without overlapping.
+		{"a-b-c", "a%b%c", true},
+		{"abc", "a%b%c", true},
+		{"a-c-b", "a%b%c", false},
+		{"ac", "a%b%c", false},
+		{"aXc", "a%c%c", false},
+		// No wildcard: equality only.
+		{"hello", "hell", false},
+		{"hell", "hello", false},
+		// Prefix- and suffix-anchored patterns.
+		{"forest green", "forest%", true},
+		{"dark forest", "forest%", false},
+		{"dark forest", "%forest", true},
+		{"forest green", "%forest", false},
+		{"ab", "ab%ab", false},
+		{"abab", "ab%ab", true},
 	}
 	for _, tc := range cases {
-		if got := MatchLike(tc.s, tc.p); got != tc.want {
-			t.Errorf("MatchLike(%q,%q) = %v", tc.s, tc.p, got)
+		arg := &Const{V: value.NewStr(tc.s)}
+		if got := NewLikeExpr(arg, tc.p, false).Eval(c, nil); got.Bool() != tc.want {
+			t.Errorf("%q LIKE %q = %v", tc.s, tc.p, got.Bool())
+		}
+		if got := NewLikeExpr(arg, tc.p, true).Eval(c, nil); got.Bool() == tc.want {
+			t.Errorf("%q NOT LIKE %q = %v", tc.s, tc.p, got.Bool())
 		}
 	}
 }

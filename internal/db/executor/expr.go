@@ -10,6 +10,7 @@ package executor
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/dsdb/obs"
@@ -373,11 +374,19 @@ func (n *NotExpr) String() string { return "NOT " + n.Arg.String() }
 
 // LikeExpr matches a string against a SQL LIKE pattern with %
 // wildcards (the forms TPC-D uses: 'prefix%', '%sub%', '%suffix',
-// and multi-% patterns).
+// and multi-% patterns). Build it with NewLikeExpr, which splits the
+// pattern once at plan time.
 type LikeExpr struct {
 	Arg     Expr
 	Pattern string
 	Negate  bool
+	frags   []string // Pattern split at each %
+}
+
+// NewLikeExpr returns arg [NOT] LIKE pattern.
+func NewLikeExpr(arg Expr, pattern string, negate bool) *LikeExpr {
+	return &LikeExpr{Arg: arg, Pattern: pattern, Negate: negate,
+		frags: strings.Split(pattern, "%")}
 }
 
 // Eval implements Expr.
@@ -386,7 +395,7 @@ func (l *LikeExpr) Eval(c *Ctx, row Tuple) value.Value {
 	v := l.Arg.Eval(c, row)
 	c.Tr.Emit(probe.EvalExprOp1Only)
 	c.Tr.Emit(probe.LikeOp)
-	m := MatchLike(v.S, l.Pattern)
+	m := matchFrags(v.S, l.frags)
 	if l.Negate {
 		m = !m
 	}
@@ -406,12 +415,11 @@ func (l *LikeExpr) String() string {
 	return fmt.Sprintf("(%s %s '%s')", l.Arg, op, l.Pattern)
 }
 
-// MatchLike implements SQL LIKE with % wildcards (no _ support, which
-// TPC-D does not use).
-func MatchLike(s, pattern string) bool {
-	parts := strings.Split(pattern, "%")
+// matchFrags implements SQL LIKE with % wildcards (no _ support,
+// which TPC-D does not use) against a pattern split at each %.
+func matchFrags(s string, parts []string) bool {
 	if len(parts) == 1 {
-		return s == pattern
+		return s == parts[0]
 	}
 	// Anchored prefix.
 	if parts[0] != "" {
@@ -498,11 +506,11 @@ func ExecQual(c *Ctx, quals []Expr, row Tuple) bool {
 	return true
 }
 
-// Project evaluates a target list into a fresh tuple — PostgreSQL's
-// ExecProject.
-func Project(c *Ctx, exprs []Expr, row Tuple) Tuple {
+// Project evaluates a target list into dst's storage (reused when its
+// capacity suffices) — PostgreSQL's ExecProject.
+func Project(c *Ctx, exprs []Expr, row, dst Tuple) Tuple {
 	c.Tr.Emit(probe.ProjectEnter)
-	out := make(Tuple, len(exprs))
+	out := slices.Grow(dst[:0], len(exprs))[:len(exprs)]
 	for i, e := range exprs {
 		c.Tr.Emit(probe.ProjectCol)
 		out[i] = e.Eval(c, row)

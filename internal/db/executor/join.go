@@ -15,12 +15,6 @@ func joinSchema(l, r *catalog.Schema) *catalog.Schema {
 	return catalog.NewSchema(cols...)
 }
 
-func joinRow(l, r Tuple) Tuple {
-	out := make(Tuple, 0, len(l)+len(r))
-	out = append(out, l...)
-	return append(out, r...)
-}
-
 // NestLoop is the naive nested-loop join: for every outer tuple the
 // inner plan is rescanned (ExecNestLoop). Quals see the concatenated
 // row.
@@ -32,6 +26,7 @@ type NestLoop struct {
 	out     *catalog.Schema
 	cur     Tuple
 	haveCur bool
+	row     Tuple // scratch for the joined row
 }
 
 // Open implements Node.
@@ -78,21 +73,21 @@ func (n *NestLoop) Next() (Tuple, bool, error) {
 			}
 			continue
 		}
-		row := joinRow(n.cur, itup)
+		n.row = joinRow(n.row, n.cur, itup)
 		c.Tr.Emit(probe.NLJoin)
 		if len(n.Quals) > 0 {
 			c.Tr.Emit(probe.NLQualCall)
-			pass := ExecQual(c, n.Quals, row)
+			pass := ExecQual(c, n.Quals, n.row)
 			c.Tr.Emit(probe.NLQualCont)
 			if !pass {
 				c.Tr.Emit(probe.NLNext)
 				continue
 			}
 			c.Tr.Emit(probe.NLEmit)
-			return row, true, nil
+			return n.row, true, nil
 		}
 		c.Tr.Emit(probe.NLEmitDirect)
-		return row, true, nil
+		return n.row, true, nil
 	}
 }
 
@@ -131,6 +126,9 @@ type IndexLoopJoin struct {
 	Table  string
 	KeyCol string
 	Quals  []Expr // residual quals over the concatenated row
+	// Need marks the inner columns the plan references; the others
+	// are fetched undecoded (NULL). Nil decodes every column.
+	Need []bool
 
 	out     *catalog.Schema
 	cur     Tuple
@@ -138,6 +136,8 @@ type IndexLoopJoin struct {
 	bscan   *access.BTreeScan
 	hscan   *access.HashScan
 	key     int64
+	inner   Tuple // reused decode buffer for inner fetches
+	row     Tuple // scratch for the joined row
 }
 
 // Open implements Node.
@@ -207,25 +207,26 @@ func (j *IndexLoopJoin) Next() (Tuple, bool, error) {
 			continue
 		}
 		c.Tr.Emit(probe.NLFetch)
-		ivals, err := j.Heap.Fetch(c.Tr, tid, nil)
+		ivals, err := j.Heap.FetchColumns(c.Tr, tid, j.inner, j.Need)
 		c.Tr.Emit(probe.NLFetchCont)
 		if err != nil {
 			return nil, false, err
 		}
-		row := joinRow(j.cur, Tuple(ivals))
+		j.inner = ivals
+		j.row = joinRow(j.row, j.cur, j.inner)
 		if len(j.Quals) > 0 {
 			c.Tr.Emit(probe.NLQualCall)
-			pass := ExecQual(c, j.Quals, row)
+			pass := ExecQual(c, j.Quals, j.row)
 			c.Tr.Emit(probe.NLQualCont)
 			if !pass {
 				c.Tr.Emit(probe.NLNext)
 				continue
 			}
 			c.Tr.Emit(probe.NLEmit)
-			return row, true, nil
+			return j.row, true, nil
 		}
 		c.Tr.Emit(probe.NLEmitDirect)
-		return row, true, nil
+		return j.row, true, nil
 	}
 }
 
@@ -257,15 +258,18 @@ type HashJoin struct {
 
 	out    *catalog.Schema
 	table  map[uint64][]Tuple
+	store  rowStore // copies of the build rows the table holds
 	built  bool
 	cur    Tuple
 	bucket []Tuple
 	bpos   int
+	row    Tuple // scratch for the joined row
 }
 
 // Open implements Node.
 func (h *HashJoin) Open() error {
 	h.table = nil
+	h.store = rowStore{}
 	h.built = false
 	h.cur = nil
 	h.bucket = nil
@@ -291,7 +295,7 @@ func (h *HashJoin) build() error {
 		c.Tr.Emit(probe.HJBuildInsert)
 		c.Tr.Emit(probe.HashFunc)
 		k := value.Hash(tup[h.InnerKey])
-		h.table[k] = append(h.table[k], tup)
+		h.table[k] = append(h.table[k], h.store.keep(tup))
 		c.Tr.Emit(probe.HJBuildInsCont)
 	}
 	c.Tr.Emit(probe.HJBuildDone)
@@ -326,20 +330,20 @@ func (h *HashJoin) Next() (Tuple, bool, error) {
 					c.Tr.Emit(probe.HJCandMiss)
 					continue
 				}
-				row := joinRow(h.cur, cand)
+				h.row = joinRow(h.row, h.cur, cand)
 				if len(h.Quals) > 0 {
 					c.Tr.Emit(probe.HJQualCall)
-					pass := ExecQual(c, h.Quals, row)
+					pass := ExecQual(c, h.Quals, h.row)
 					c.Tr.Emit(probe.HJQualCont)
 					if !pass {
 						c.Tr.Emit(probe.HJCandNext)
 						continue
 					}
 					c.Tr.Emit(probe.HJMatch)
-					return row, true, nil
+					return h.row, true, nil
 				}
 				c.Tr.Emit(probe.HJMatchDirect)
-				return row, true, nil
+				return h.row, true, nil
 			}
 			c.Tr.Emit(probe.HJBucketDone)
 		}
@@ -367,6 +371,7 @@ func (h *HashJoin) Next() (Tuple, bool, error) {
 // the first close fails; the first error wins. Close is idempotent.
 func (h *HashJoin) Close() error {
 	h.table = nil
+	h.store = rowStore{}
 	h.built = false
 	err := h.Outer.Close()
 	if ierr := h.Inner.Close(); err == nil {
@@ -400,10 +405,12 @@ type MergeJoin struct {
 	innerTup     Tuple
 	innerOK      bool
 	started      bool
-	group        []Tuple // current inner duplicate group
+	group        []Tuple  // current inner duplicate group
+	store        rowStore // copies of the group's rows
 	groupKey     value.Value
 	gpos         int
 	outerInGroup bool
+	row          Tuple // scratch for the joined row
 }
 
 // Open implements Node.
@@ -449,17 +456,17 @@ func (m *MergeJoin) Next() (Tuple, bool, error) {
 			for m.gpos < len(m.group) {
 				itup := m.group[m.gpos]
 				m.gpos++
-				row := joinRow(m.outerTup, itup)
+				m.row = joinRow(m.row, m.outerTup, itup)
 				if len(m.Quals) > 0 {
 					c.Tr.Emit(probe.MJQualCall)
-					pass := ExecQual(c, m.Quals, row)
+					pass := ExecQual(c, m.Quals, m.row)
 					c.Tr.Emit(probe.MJQualCont)
 					if !pass {
 						continue
 					}
 				}
 				c.Tr.Emit(probe.MJEmit)
-				return row, true, nil
+				return m.row, true, nil
 			}
 			// Group exhausted for this outer tuple: advance outer and
 			// re-check it against the same group.
@@ -508,6 +515,7 @@ func (m *MergeJoin) Next() (Tuple, bool, error) {
 			// Buffer the inner duplicate group for this key.
 			m.groupKey = m.innerTup[m.InnerKey]
 			m.group = m.group[:0]
+			m.store.reset()
 			for m.innerOK {
 				c.Tr.Emit(probe.MJCmpCall)
 				c.Tr.Emit(cmpProbeFor(m.innerTup[m.InnerKey]))
@@ -516,7 +524,7 @@ func (m *MergeJoin) Next() (Tuple, bool, error) {
 				if !same {
 					break
 				}
-				m.group = append(m.group, m.innerTup)
+				m.group = append(m.group, m.store.keep(m.innerTup))
 				if err := m.advanceInner(); err != nil {
 					return nil, false, err
 				}
@@ -531,6 +539,7 @@ func (m *MergeJoin) Next() (Tuple, bool, error) {
 // the first close fails; the first error wins. Close is idempotent.
 func (m *MergeJoin) Close() error {
 	m.group = nil
+	m.store = rowStore{}
 	err := m.Outer.Close()
 	if ierr := m.Inner.Close(); err == nil {
 		err = ierr

@@ -3,11 +3,22 @@ package executor
 import (
 	"repro/internal/db/catalog"
 	"repro/internal/db/probe"
+	"repro/internal/db/value"
 )
 
 // Node is one operator of the execution plan tree (Volcano iterator
 // model). Open prepares the node (and must reset it if called again),
 // Next produces the next tuple, Close releases resources.
+//
+// Tuple lifetime: a Tuple returned by Next is valid only until the
+// next Next or Close on the same node, which may overwrite it in
+// place — scans decode every row into one reused buffer and joins
+// build every output row in one scratch slice. A consumer that keeps
+// a row past that point (Sort, Material, the HashJoin build table,
+// the MergeJoin duplicate group, GroupAgg's pending row, ParallelScan
+// batches, engine.Run)
+// makes a shallow copy: Values are immutable and strings are never
+// shared with pages, so copying the slice suffices.
 type Node interface {
 	Open() error
 	Next() (Tuple, bool, error)
@@ -56,4 +67,33 @@ func tupleCompare(c *Ctx, a, b Tuple, cols []SortKey) int {
 	}
 	c.Tr.Emit(probe.TupCmpDone)
 	return res
+}
+
+// rowStore holds the shallow copies a retaining operator keeps of its
+// child's rows, carving them out of shared slabs so a copy is rarely
+// an allocation of its own.
+type rowStore struct{ slab []value.Value }
+
+// maxSlabValues caps the geometric slab growth (about 160 KiB).
+const maxSlabValues = 4096
+
+// keep returns a copy of t that stays valid until reset.
+func (s *rowStore) keep(t Tuple) Tuple {
+	if len(t) > cap(s.slab)-len(s.slab) {
+		size := min(max(2*cap(s.slab), 64), maxSlabValues)
+		s.slab = make([]value.Value, 0, max(size, len(t)))
+	}
+	n := len(s.slab)
+	s.slab = append(s.slab, t...)
+	return Tuple(s.slab[n:len(s.slab):len(s.slab)])
+}
+
+// reset lets the current slab be reused; every row kept so far
+// becomes invalid.
+func (s *rowStore) reset() { s.slab = s.slab[:0] }
+
+// joinRow builds the concatenation of l and r in dst's storage.
+func joinRow(dst, l, r Tuple) Tuple {
+	dst = append(dst[:0], l...)
+	return append(dst, r...)
 }

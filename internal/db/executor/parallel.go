@@ -41,8 +41,10 @@ type ParallelScan struct {
 	Heap *access.Heap
 	Out  *catalog.Schema
 	// Table names the scanned relation for EXPLAIN output.
-	Table  string
-	Quals  []Expr
+	Table string
+	Quals []Expr
+	// Need marks the columns the plan references (see SeqScan.Need).
+	Need   []bool
 	Degree int
 	// PartCap overrides the per-worker channel capacity in batches
 	// (tests); 0 selects the default.
@@ -111,9 +113,10 @@ func (s *ParallelScan) Open() error {
 }
 
 // worker scans pages [lo, hi), applying the qualifiers with its own
-// untraced context, and streams qualifying tuples into part in
-// batches. The error slot is written before the channel close, so
-// the consumer's receive of the close is its happens-before edge.
+// untraced context, and streams copies of the qualifying tuples into
+// part in batches; rejected tuples never leave its decode buffer. The
+// error slot is written before the channel close, so the consumer's
+// receive of the close is its happens-before edge.
 func (s *ParallelScan) worker(i, lo, hi int, part chan<- []Tuple, wtr probe.Tracer) {
 	defer s.wg.Done()
 	defer close(part)
@@ -123,7 +126,12 @@ func (s *ParallelScan) worker(i, lo, hi int, part chan<- []Tuple, wtr probe.Trac
 	// and under EXPLAIN ANALYZE so is buffer-pool traffic (atomics).
 	wc := &Ctx{Tr: wtr, Interrupt: s.C.Interrupt}
 	scan := s.Heap.BeginRangeScan(lo, hi)
+	scan.Need = s.Need
 	defer scan.Close()
+	var row Tuple
+	// Each batch's rows are carved from one store the consumer owns
+	// once the batch is sent.
+	var store rowStore
 	batch := make([]Tuple, 0, batchTuples)
 	flush := func() bool {
 		if len(batch) == 0 {
@@ -132,6 +140,7 @@ func (s *ParallelScan) worker(i, lo, hi int, part chan<- []Tuple, wtr probe.Trac
 		select {
 		case part <- batch:
 			batch = make([]Tuple, 0, batchTuples)
+			store = rowStore{}
 			return true
 		case <-s.stop:
 			return false
@@ -144,7 +153,7 @@ func (s *ParallelScan) worker(i, lo, hi int, part chan<- []Tuple, wtr probe.Trac
 				return
 			}
 		}
-		vals, _, ok, err := scan.Next(wc.Tr, nil)
+		vals, _, ok, err := scan.Next(wc.Tr, row)
 		if err != nil {
 			s.errs[i] = err
 			return
@@ -153,10 +162,11 @@ func (s *ParallelScan) worker(i, lo, hi int, part chan<- []Tuple, wtr probe.Trac
 			flush()
 			return
 		}
-		if len(s.Quals) > 0 && !ExecQual(wc, s.Quals, Tuple(vals)) {
+		row = vals
+		if len(s.Quals) > 0 && !ExecQual(wc, s.Quals, row) {
 			continue
 		}
-		batch = append(batch, Tuple(vals))
+		batch = append(batch, store.keep(row))
 		if len(batch) == batchTuples && !flush() {
 			return
 		}

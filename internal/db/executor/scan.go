@@ -15,15 +15,20 @@ type SeqScan struct {
 	Heap *access.Heap
 	Out  *catalog.Schema
 	// Table names the scanned relation for EXPLAIN output.
-	Table  string
-	Quals  []Expr
+	Table string
+	Quals []Expr
+	// Need marks the columns the plan references; the others are
+	// left undecoded (NULL). Nil decodes every column.
+	Need   []bool
 	scan   *access.HeapScan
+	row    Tuple // reused decode buffer
 	opened bool
 }
 
 // Open implements Node.
 func (s *SeqScan) Open() error {
 	s.scan = s.Heap.BeginScan()
+	s.scan.Need = s.Need
 	s.opened = true
 	return nil
 }
@@ -37,7 +42,7 @@ func (s *SeqScan) Next() (Tuple, bool, error) {
 	c.Tr.Emit(probe.SeqScanEnter)
 	for {
 		c.Tr.Emit(probe.SeqScanCall)
-		vals, _, ok, err := s.scan.Next(c.Tr, nil)
+		vals, _, ok, err := s.scan.Next(c.Tr, s.row)
 		c.Tr.Emit(probe.SeqScanCont)
 		if err != nil {
 			return nil, false, err
@@ -46,19 +51,20 @@ func (s *SeqScan) Next() (Tuple, bool, error) {
 			c.Tr.Emit(probe.SeqScanEOF)
 			return nil, false, nil
 		}
+		s.row = vals
 		if len(s.Quals) > 0 {
 			c.Tr.Emit(probe.SeqScanQualCall)
-			pass := ExecQual(c, s.Quals, Tuple(vals))
+			pass := ExecQual(c, s.Quals, s.row)
 			c.Tr.Emit(probe.SeqScanQualCont)
 			if !pass {
 				c.Tr.Emit(probe.SeqScanNext)
 				continue
 			}
 			c.Tr.Emit(probe.SeqScanEmit)
-			return Tuple(vals), true, nil
+			return s.row, true, nil
 		}
 		c.Tr.Emit(probe.SeqScanEmitDirect)
-		return Tuple(vals), true, nil
+		return s.row, true, nil
 	}
 }
 
@@ -98,9 +104,12 @@ type IndexScan struct {
 	EqKey        int64
 
 	Quals []Expr
+	// Need marks the columns the plan references (see SeqScan.Need).
+	Need []bool
 
 	bscan  *access.BTreeScan
 	hscan  *access.HashScan
+	row    Tuple // reused decode buffer
 	opened bool
 }
 
@@ -175,24 +184,25 @@ func (s *IndexScan) Next() (Tuple, bool, error) {
 			return nil, false, nil
 		}
 		c.Tr.Emit(probe.IdxScanFetch)
-		vals, err := s.Heap.Fetch(c.Tr, tid, nil)
+		vals, err := s.Heap.FetchColumns(c.Tr, tid, s.row, s.Need)
 		c.Tr.Emit(probe.IdxScanCont)
 		if err != nil {
 			return nil, false, err
 		}
+		s.row = vals
 		if len(s.Quals) > 0 {
 			c.Tr.Emit(probe.IdxScanQualCall)
-			pass := ExecQual(c, s.Quals, Tuple(vals))
+			pass := ExecQual(c, s.Quals, s.row)
 			c.Tr.Emit(probe.IdxScanQualCont)
 			if !pass {
 				c.Tr.Emit(probe.IdxScanNext)
 				continue
 			}
 			c.Tr.Emit(probe.IdxScanEmit)
-			return Tuple(vals), true, nil
+			return s.row, true, nil
 		}
 		c.Tr.Emit(probe.IdxScanEmitDirect)
-		return Tuple(vals), true, nil
+		return s.row, true, nil
 	}
 }
 
@@ -294,6 +304,7 @@ type ProjectNode struct {
 	Exprs []Expr
 	Names []string
 	out   *catalog.Schema
+	row   Tuple // reused output row
 }
 
 // Open implements Node.
@@ -308,9 +319,9 @@ func (p *ProjectNode) Next() (Tuple, bool, error) {
 		return nil, false, err
 	}
 	c.Tr.Emit(probe.ResultProject)
-	out := Project(c, p.Exprs, tup)
+	p.row = Project(c, p.Exprs, tup, p.row)
 	c.Tr.Emit(probe.ResultDone)
-	return out, true, nil
+	return p.row, true, nil
 }
 
 // Close implements Node.

@@ -21,6 +21,7 @@ type Sort struct {
 	Keys  []SortKey
 
 	rows   []Tuple
+	store  rowStore // copies of the loaded rows
 	pos    int
 	loaded bool
 }
@@ -28,6 +29,7 @@ type Sort struct {
 // Open implements Node.
 func (s *Sort) Open() error {
 	s.rows = nil
+	s.store = rowStore{}
 	s.pos = 0
 	s.loaded = false
 	return s.Child.Open()
@@ -44,7 +46,7 @@ func (s *Sort) load() error {
 			break
 		}
 		c.Tr.Emit(probe.SortLoadOK)
-		s.rows = append(s.rows, tup)
+		s.rows = append(s.rows, s.store.keep(tup))
 	}
 	c.Tr.Emit(probe.SortSortCall)
 	c.Tr.Emit(probe.QsortEnter)
@@ -82,6 +84,7 @@ func (s *Sort) Next() (Tuple, bool, error) {
 // Close implements Node.
 func (s *Sort) Close() error {
 	s.rows = nil
+	s.store = rowStore{}
 	s.loaded = false
 	return s.Child.Close()
 }
@@ -97,6 +100,7 @@ type Material struct {
 	Child Node
 
 	rows   []Tuple
+	store  rowStore // copies of the materialized rows
 	pos    int
 	loaded bool
 }
@@ -125,7 +129,7 @@ func (m *Material) Next() (Tuple, bool, error) {
 				break
 			}
 			c.Tr.Emit(probe.MatLoadOK)
-			m.rows = append(m.rows, tup)
+			m.rows = append(m.rows, m.store.keep(tup))
 		}
 		c.Tr.Emit(probe.MatLoadDone)
 		m.loaded = true

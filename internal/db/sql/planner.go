@@ -68,10 +68,12 @@ func (pl *Planner) Plan(st *SelectStmt) (executor.Node, error) {
 		est[t] = e
 	}
 
-	// Base scans.
+	// Base scans, each decoding only the columns the statement
+	// references.
+	refs := referencedColumns(st)
 	scans := make(map[string]executor.Node)
 	for _, t := range st.From {
-		n, err := pl.scan(t, tblPreds[t])
+		n, err := pl.scan(t, tblPreds[t], refs)
 		if err != nil {
 			return nil, err
 		}
@@ -122,7 +124,7 @@ func (pl *Planner) Plan(st *SelectStmt) (executor.Node, error) {
 			if jp.rt != t {
 				outerCol, innerCol = jp.rc, jp.lc
 			}
-			plan, err = pl.join(plan, t, outerCol, innerCol, tblPreds[t], scans[t], est)
+			plan, err = pl.join(plan, t, outerCol, innerCol, tblPreds[t], scans[t], refs, est)
 		} else {
 			plan = &executor.NestLoop{C: pl.C, Outer: plan, Inner: serialized(pl.C, scans[t])}
 		}
@@ -317,13 +319,15 @@ func (pl *Planner) postAggProject(st *SelectStmt, aggSchema *catalog.Schema, gro
 // scan builds the access path for one table: hash index for an
 // equality predicate on an indexed column, B-tree range scan for
 // range/equality predicates on a B-tree column, else a sequential scan
-// with all predicates as qualifiers.
-func (pl *Planner) scan(table string, preds []node) (executor.Node, error) {
+// with all predicates as qualifiers. It decodes only the columns refs
+// names.
+func (pl *Planner) scan(table string, preds []node, refs map[string]bool) (executor.Node, error) {
 	t, ok := pl.DB.Cat.Table(table)
 	if !ok {
 		return nil, fmt.Errorf("sql: unknown table %q", table)
 	}
 	sch := tableSchema(t)
+	need := needMask(sch, refs)
 	heap := pl.DB.Heap(table)
 
 	// Try an indexable predicate.
@@ -348,12 +352,12 @@ func (pl *Planner) scan(table string, preds []node) (executor.Node, error) {
 		if ix.Kind == catalog.Hash && op == "=" {
 			return &executor.IndexScan{C: pl.C, Heap: heap, Out: sch,
 				Table: table, KeyCol: col,
-				HashIdx: pl.DB.HashFor(ix), EqKey: lit, Quals: quals}, nil
+				HashIdx: pl.DB.HashFor(ix), EqKey: lit, Quals: quals, Need: need}, nil
 		}
 		if ix.Kind == catalog.BTree {
 			is := &executor.IndexScan{C: pl.C, Heap: heap, Out: sch,
 				Table: table, KeyCol: col,
-				BTree: pl.DB.BTreeFor(ix), Quals: quals}
+				BTree: pl.DB.BTreeFor(ix), Quals: quals, Need: need}
 			switch op {
 			case "=":
 				is.Lo, is.Hi, is.HasLo, is.HasHi = lit, lit, true, true
@@ -381,14 +385,15 @@ func (pl *Planner) scan(table string, preds []node) (executor.Node, error) {
 	// is big enough to split (a one-page table gains nothing).
 	if pl.C.Parallelism > 1 && heap.NumPages() >= 2 {
 		return &executor.ParallelScan{C: pl.C, Heap: heap, Out: sch,
-			Table: table, Quals: quals, Degree: pl.C.Parallelism}, nil
+			Table: table, Quals: quals, Need: need, Degree: pl.C.Parallelism}, nil
 	}
-	return &executor.SeqScan{C: pl.C, Heap: heap, Out: sch, Table: table, Quals: quals}, nil
+	return &executor.SeqScan{C: pl.C, Heap: heap, Out: sch, Table: table, Quals: quals, Need: need}, nil
 }
 
-// join attaches table t to the current plan on outerCol = innerCol.
+// join attaches table t to the current plan on outerCol = innerCol,
+// decoding only the columns of t that refs names.
 func (pl *Planner) join(outer executor.Node, t, outerCol, innerCol string,
-	innerPreds []node, innerScan executor.Node, est map[string]float64) (executor.Node, error) {
+	innerPreds []node, innerScan executor.Node, refs map[string]bool, est map[string]float64) (executor.Node, error) {
 	tbl, _ := pl.DB.Cat.Table(t)
 	innerSch := tableSchema(tbl)
 	outIdx := outer.Schema().ColIndex(outerCol)
@@ -403,7 +408,7 @@ func (pl *Planner) join(outer executor.Node, t, outerCol, innerCol string,
 			return nil, err
 		}
 		ilj := &executor.IndexLoopJoin{C: pl.C, Outer: outer, OuterKey: outIdx,
-			Heap: pl.DB.Heap(t), InnerSch: innerSch, Quals: quals,
+			Heap: pl.DB.Heap(t), InnerSch: innerSch, Quals: quals, Need: needMask(innerSch, refs),
 			Table: t, KeyCol: innerCol}
 		if ix.Kind == catalog.BTree {
 			ilj.BTree = pl.DB.BTreeFor(ix)
@@ -438,7 +443,7 @@ func (pl *Planner) join(outer executor.Node, t, outerCol, innerCol string,
 // and merge join builds, top-level scans) keep the parallel node.
 func serialized(c *executor.Ctx, n executor.Node) executor.Node {
 	if ps, ok := n.(*executor.ParallelScan); ok {
-		return &executor.SeqScan{C: c, Heap: ps.Heap, Out: ps.Out, Table: ps.Table, Quals: ps.Quals}
+		return &executor.SeqScan{C: c, Heap: ps.Heap, Out: ps.Out, Table: ps.Table, Quals: ps.Quals, Need: ps.Need}
 	}
 	return n
 }
@@ -456,36 +461,74 @@ func flattenAnd(n node, out *[]node) {
 	*out = append(*out, n)
 }
 
+// walkCols calls f with the name of every column reference in n.
+func walkCols(n node, f func(name string)) {
+	switch x := n.(type) {
+	case *colRef:
+		f(x.name)
+	case *binExpr:
+		walkCols(x.l, f)
+		walkCols(x.r, f)
+	case *andExpr:
+		for _, a := range x.args {
+			walkCols(a, f)
+		}
+	case *orExpr:
+		for _, a := range x.args {
+			walkCols(a, f)
+		}
+	case *notExpr:
+		walkCols(x.arg, f)
+	case *likeExpr:
+		walkCols(x.arg, f)
+	case *inExpr:
+		walkCols(x.arg, f)
+	}
+}
+
+// referencedColumns returns the name of every column the statement
+// mentions: in WHERE, the select items, GROUP BY and ORDER BY. The
+// grammar has neither select * nor subqueries, so no operator of the
+// plan reads a base column outside this set.
+func referencedColumns(st *SelectStmt) map[string]bool {
+	refs := make(map[string]bool)
+	add := func(name string) { refs[name] = true }
+	walkCols(st.Where, add)
+	for _, it := range st.Items {
+		walkCols(it.Expr, add)
+	}
+	for _, g := range st.GroupBy {
+		add(g)
+	}
+	for _, ob := range st.OrderBy {
+		add(ob.Col)
+	}
+	return refs
+}
+
+// needMask marks the columns of sch that refs names, or returns nil
+// (decode everything) when refs names every column.
+func needMask(sch *catalog.Schema, refs map[string]bool) []bool {
+	need := make([]bool, sch.Len())
+	all := true
+	for i, c := range sch.Columns {
+		need[i] = refs[c.Name]
+		all = all && need[i]
+	}
+	if all {
+		return nil
+	}
+	return need
+}
+
 // tablesOf returns the tables whose columns appear in n.
 func (pl *Planner) tablesOf(n node, from []string) []string {
 	seen := map[string]bool{}
-	var walk func(node)
-	walk = func(n node) {
-		switch x := n.(type) {
-		case *colRef:
-			if t := pl.tableOfCol(x.name, from); t != "" {
-				seen[t] = true
-			}
-		case *binExpr:
-			walk(x.l)
-			walk(x.r)
-		case *andExpr:
-			for _, a := range x.args {
-				walk(a)
-			}
-		case *orExpr:
-			for _, a := range x.args {
-				walk(a)
-			}
-		case *notExpr:
-			walk(x.arg)
-		case *likeExpr:
-			walk(x.arg)
-		case *inExpr:
-			walk(x.arg)
+	walkCols(n, func(name string) {
+		if t := pl.tableOfCol(name, from); t != "" {
+			seen[t] = true
 		}
-	}
-	walk(n)
+	})
 	out := make([]string, 0, len(seen))
 	for _, t := range from {
 		if seen[t] {
@@ -660,7 +703,7 @@ func compileExpr(n node, sch *catalog.Schema) (executor.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &executor.LikeExpr{Arg: a, Pattern: x.pattern, Negate: x.negate}, nil
+		return executor.NewLikeExpr(a, x.pattern, x.negate), nil
 	case *inExpr:
 		a, err := compileExpr(x.arg, sch)
 		if err != nil {

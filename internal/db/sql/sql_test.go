@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -246,5 +247,86 @@ func TestExecUnknownTableFails(t *testing.T) {
 	db := miniDB(t, catalog.BTree)
 	if _, _, err := Exec(db, executor.NewCtx(nil), "select k from ghost"); err == nil {
 		t.Fatal("want unknown-table error")
+	}
+}
+
+// scanMasks collects the column mask of every base-table access in a
+// plan, keyed by table.
+func scanMasks(n executor.Node, out map[string][]bool) {
+	switch x := n.(type) {
+	case *executor.SeqScan:
+		out[x.Table] = x.Need
+	case *executor.IndexScan:
+		out[x.Table] = x.Need
+	case *executor.IndexLoopJoin:
+		out[x.Table] = x.Need
+		scanMasks(x.Outer, out)
+	case *executor.HashJoin:
+		scanMasks(x.Outer, out)
+		scanMasks(x.Inner, out)
+	case *executor.NestLoop:
+		scanMasks(x.Outer, out)
+		scanMasks(x.Inner, out)
+	case *executor.ProjectNode:
+		scanMasks(x.Child, out)
+	case *executor.Agg:
+		scanMasks(x.Child, out)
+	case *executor.GroupAgg:
+		scanMasks(x.Child, out)
+	case *executor.Sort:
+		scanMasks(x.Child, out)
+	case *executor.Filter:
+		scanMasks(x.Child, out)
+	case *executor.Limit:
+		scanMasks(x.Child, out)
+	}
+}
+
+func TestPlanDecodesOnlyReferencedColumns(t *testing.T) {
+	db := miniDB(t, catalog.BTree)
+	uSch := catalog.NewSchema(
+		catalog.Column{Name: "uk", Type: value.Int},
+		catalog.Column{Name: "uv", Type: value.Int},
+		catalog.Column{Name: "un", Type: value.Str},
+	)
+	if _, err := db.CreateTable("u", uSch); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		if err := db.Insert("u", []value.Value{value.NewInt(int64(i)),
+			value.NewInt(int64(i % 4)), value.NewStr("n")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cases := []struct {
+		q    string
+		want map[string][]bool // nil mask: every column decoded
+		rows int
+	}{
+		{"select count(*) from t where v < 3",
+			map[string][]bool{"t": {false, true, false, false}}, 1},
+		{"select k, s from t where k = 42",
+			map[string][]bool{"t": {true, false, true, false}}, 1},
+		{"select v, sum(k) from t where d >= '1994-06-01' group by v order by v",
+			map[string][]bool{"t": {true, true, false, true}}, 10},
+		{"select k, v, s, d from t where k < 3",
+			map[string][]bool{"t": nil}, 3},
+		{"select uv, count(*) from t, u where k = uk and s like 'a%' group by uv",
+			map[string][]bool{"t": {true, false, true, false}, "u": {true, true, false}}, 4},
+	}
+	for _, tc := range cases {
+		plan, err := Compile(db, executor.NewCtx(nil), tc.q)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.q, err)
+		}
+		got := map[string][]bool{}
+		scanMasks(plan, got)
+		if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+			t.Errorf("%s: masks %v, want %v", tc.q, got, tc.want)
+		}
+		rows, err := engine.Run(plan)
+		if err != nil || len(rows) != tc.rows {
+			t.Errorf("%s: %d rows, err %v; want %d", tc.q, len(rows), err, tc.rows)
+		}
 	}
 }

@@ -194,3 +194,30 @@ func TestTIDLess(t *testing.T) {
 		t.Fatal("TID ordering broken")
 	}
 }
+
+func TestDecodeColumnsSkipsUnneeded(t *testing.T) {
+	row := sampleRow()
+	enc := EncodeTuple(row, nil)
+	need := []bool{false, true, false, true} // shorter than the row
+	got, err := DecodeColumns(enc, nil, need)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(row) {
+		t.Fatalf("arity %d, want %d", len(got), len(row))
+	}
+	for i := range row {
+		if i < len(need) && need[i] {
+			if got[i].T != row[i].T || value.Compare(got[i], row[i]) != 0 {
+				t.Errorf("col %d = %v, want %v", i, got[i], row[i])
+			}
+		} else if !got[i].IsNull() {
+			t.Errorf("unneeded col %d = %v, want NULL", i, got[i])
+		}
+	}
+	// A skipped column is still validated.
+	bad := append(EncodeTuple(row[:2], nil), byte(value.Str), 9, 0, 'x')
+	if _, err := DecodeColumns(bad, nil, []bool{true}); err == nil {
+		t.Error("truncated unneeded string must fail")
+	}
+}
